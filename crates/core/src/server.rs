@@ -53,7 +53,7 @@ use zoom_warehouse::wire::{self, BatchItem, Request, Response, ShardRouter};
 use zoom_warehouse::{codec, fxhash::FxHashMap};
 use zoom_warehouse::{
     DurableOptions, Result as WhResult, ShardState, StorageIo, TenantQuotaTable, TenantQuotas,
-    ViewId, WarehouseError,
+    WarehouseError,
 };
 
 /// How a [`Daemon`] is stood up.
@@ -615,278 +615,106 @@ fn err(e: WarehouseError) -> Response {
     }
 }
 
-/// What visibility enforcement decided for one `(run, view)` query.
-enum Enforced {
-    /// Execute, against this (possibly substituted) view.
-    Allow(ViewId),
-    /// Refuse; the payload is byte-identical to the error the same
-    /// request would render if the run did not exist at all.
-    Deny(String),
-}
-
-/// Enforcement for a view-addressed query: resolves the run's spec, then
-/// asks the policy table for a decision. A run the router cannot resolve
-/// passes through so the natural `RunNotFound` path renders downstream;
-/// internal policy errors fail *closed* (deny as absence) — an error
-/// reply here would itself confirm the run exists.
-fn enforce_view(
-    state: &ServerState,
-    tenant: &str,
-    run: zoom_warehouse::RunId,
-    view: ViewId,
-) -> Enforced {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return Enforced::Allow(view);
-    }
-    let Ok(spec) = router.spec_of_run(run) else {
-        return Enforced::Allow(view);
-    };
-    let sink = router.policy_sink();
-    let absent = || WarehouseError::RunNotFound(run).to_string();
-    match policies.spec_denied(tenant, spec, router, &sink) {
-        Ok(true) | Err(_) => return Enforced::Deny(absent()),
-        Ok(false) => {}
-    }
-    match policies.view_decision(tenant, spec, view, router, &sink) {
-        Ok(zoom_warehouse::Decision::Pass) => Enforced::Allow(view),
-        Ok(zoom_warehouse::Decision::Substitute(v)) => Enforced::Allow(v),
-        Ok(zoom_warehouse::Decision::Deny) | Err(_) => Enforced::Deny(absent()),
-    }
-}
-
-/// Enforcement for a run-addressed (viewless) request: denied specs
-/// render as the run being absent.
-fn enforce_run(state: &ServerState, tenant: &str, run: zoom_warehouse::RunId) -> Option<String> {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return None;
-    }
-    let Ok(spec) = router.spec_of_run(run) else {
-        return None;
-    };
-    match policies.spec_denied(tenant, spec, router, &router.policy_sink()) {
-        Ok(false) => None,
-        Ok(true) | Err(_) => Some(WarehouseError::RunNotFound(run).to_string()),
-    }
-}
-
-/// Enforcement for a spec-addressed request (ingest, view building):
-/// denied specs render as the spec being absent.
-fn enforce_spec(state: &ServerState, tenant: &str, spec: zoom_warehouse::SpecId) -> Option<String> {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return None;
-    }
-    match policies.spec_denied(tenant, spec, router, &router.policy_sink()) {
-        Ok(false) => None,
-        Ok(true) | Err(_) => Some(WarehouseError::SpecNotFound(spec).to_string()),
-    }
-}
-
-/// Post-registration enforcement for requests that *return* a view id:
-/// a restricted tenant gets the effective (meet) id back, so the id it
-/// holds is already safe to query with, and never finer than its policy
-/// allows.
-fn effective_view_id(
-    state: &ServerState,
-    tenant: &str,
-    spec: zoom_warehouse::SpecId,
-    id: ViewId,
-) -> ViewId {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return id;
-    }
-    match policies.view_decision(tenant, spec, id, router, &router.policy_sink()) {
-        Ok(zoom_warehouse::Decision::Substitute(v)) => v,
-        _ => id,
-    }
-}
-
-/// Renders hidden-data answers as absence for restricted tenants
-/// (mirror of `Zoom::conceal_data_errors`): a `DataNotVisible` from a
-/// query run under a policy concealing modules in this workflow becomes
-/// `DataNotFound`, so a datum internal to a concealed composite is
-/// indistinguishable from one that never existed. Internal policy errors
-/// keep the laundered rendering (fail closed).
-fn conceal_data_errors<T>(
-    state: &ServerState,
-    tenant: &str,
-    run: zoom_warehouse::RunId,
-    res: WhResult<T>,
-) -> WhResult<T> {
-    let Err(WarehouseError::DataNotVisible { data, view }) = res else {
-        return res;
-    };
-    let router = &state.router;
-    let policies = router.policies();
-    if !policies.is_empty() {
-        if let Ok(spec) = router.spec_of_run(run) {
-            match policies.spec_restricted(tenant, spec, router, &router.policy_sink()) {
-                Ok(true) | Err(_) => return Err(WarehouseError::DataNotFound(data)),
-                Ok(false) => {}
-            }
-        }
-    }
-    Err(WarehouseError::DataNotVisible { data, view })
-}
-
-fn ok_or<T>(r: WhResult<T>, ok: impl FnOnce(T) -> Response) -> Response {
-    match r {
-        Ok(v) => ok(v),
-        Err(e) => err(e),
-    }
-}
-
-/// Registers `view` under `spec` unless a view of the same name already
-/// exists (mirrors `Zoom::build_view`'s idempotence). The find and the
-/// register happen atomically under the router's registration lock.
-fn register_named_view(
-    router: &ShardRouter,
-    spec: zoom_warehouse::SpecId,
-    view: UserView,
-) -> WhResult<ViewId> {
-    router.register_view_if_absent(spec, &view)
-}
-
 fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Response {
+    execute_gated(state, conn, req).unwrap_or_else(err)
+}
+
+/// Executes one data-plane request for the connection's tenant. Every
+/// request that names a spec, a run or a view passes the router's tenant
+/// gate (the same [`PolicyTable`](zoom_warehouse::PolicyTable) rules the
+/// local `Zoom::*_as` methods call), so a denial renders exactly as the
+/// absent target would.
+fn execute_gated(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> WhResult<Response> {
     let router = &state.router;
+    let gate = router.policies();
     let tenant = conn.tenant.as_str();
-    match req {
-        Request::RegisterSpec { spec } => {
-            ok_or(router.register_spec(spec), |id| Response::Spec { id })
-        }
+    Ok(match req {
+        Request::RegisterSpec { spec } => Response::Spec {
+            id: router.register_spec(spec)?,
+        },
         Request::RegisterView { spec, view } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
+            gate.gate_spec(tenant, *spec, router)?;
+            let id = router.register_view(*spec, view)?;
+            Response::View {
+                id: gate.effective_view_id(tenant, *spec, id, router),
             }
-            ok_or(router.register_view(*spec, view), |id| Response::View {
-                id: effective_view_id(state, tenant, *spec, id),
-            })
         }
         Request::BuildView { spec, relevant } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
+            gate.gate_spec(tenant, *spec, router)?;
+            let ws = router.spec(*spec)?;
+            let nodes: Vec<_> = relevant
+                .iter()
+                .map(|l| ws.module(l))
+                .collect::<zoom_model::Result<_>>()?;
+            let built = zoom_views::relev_user_view_builder(&ws, &nodes)?;
+            // Idempotent like `Zoom::build_view`: the find and the
+            // register happen atomically under the registration lock.
+            let id = router.register_view_if_absent(*spec, &built.view)?;
+            Response::View {
+                id: gate.effective_view_id(tenant, *spec, id, router),
             }
-            let built = (|| {
-                let ws = router.spec(*spec)?;
-                let nodes: Vec<_> = relevant
-                    .iter()
-                    .map(|l| ws.module(l))
-                    .collect::<zoom_model::Result<_>>()?;
-                let built = zoom_views::relev_user_view_builder(&ws, &nodes)?;
-                register_named_view(router, *spec, built.view)
-            })();
-            ok_or(built, |id| Response::View {
-                id: effective_view_id(state, tenant, *spec, id),
-            })
         }
         Request::AdminView { spec } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
+            gate.gate_spec(tenant, *spec, router)?;
+            let ws = router.spec(*spec)?;
+            let id = router.register_view_if_absent(*spec, &UserView::admin(&ws))?;
+            Response::View {
+                id: gate.effective_view_id(tenant, *spec, id, router),
             }
-            let built = router
-                .spec(*spec)
-                .and_then(|ws| register_named_view(router, *spec, UserView::admin(&ws)));
-            ok_or(built, |id| Response::View {
-                id: effective_view_id(state, tenant, *spec, id),
-            })
         }
         Request::LoadLog { spec, log, .. } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
+            gate.gate_spec(tenant, *spec, router)?;
+            Response::Run {
+                id: router.load_log(*spec, log)?,
             }
-            ok_or(router.load_log(*spec, log), |id| Response::Run { id })
         }
         Request::BeginStream { spec, .. } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
+            gate.gate_spec(tenant, *spec, router)?;
+            Response::Run {
+                id: router.begin_stream(*spec)?,
             }
-            ok_or(router.begin_stream(*spec), |id| Response::Run { id })
         }
         Request::StreamPush { run, event, .. } => {
-            if let Some(msg) = enforce_run(state, tenant, *run) {
-                return Response::Error { message: msg };
+            gate.gate_run(tenant, *run, router)?;
+            Response::Push {
+                outcome: router.stream_push(*run, event)?,
             }
-            ok_or(router.stream_push(*run, event), |o| Response::Push {
-                outcome: o,
-            })
         }
         Request::StreamSeal { run, .. } => {
-            if let Some(msg) = enforce_run(state, tenant, *run) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.stream_seal(*run), |()| Response::Ok)
+            gate.gate_run(tenant, *run, router)?;
+            router.stream_seal(*run)?;
+            Response::Ok
         }
         Request::DeepProvenance {
             run, view, data, ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(
-                    state,
-                    tenant,
-                    *run,
-                    router.deep_provenance(*run, view, *data),
-                ),
-                |result| Response::Provenance { result },
-            ),
+        } => Response::Provenance {
+            result: gate.gate_query(tenant, *run, *view, router, |v| {
+                router.deep_provenance(*run, v, *data)
+            })?,
         },
-        Request::QueryBatch { queries, .. } => {
-            // Per-triple enforcement: allowed queries keep their input
-            // slot and run through the batch path with their (possibly
-            // substituted) views; denied ones answer in place with the
-            // same bytes an absent run would.
-            let mut slots: Vec<Option<BatchItem>> = (0..queries.len()).map(|_| None).collect();
-            let mut routed: Vec<(usize, (zoom_warehouse::RunId, ViewId, zoom_model::DataId))> =
-                Vec::new();
-            for (i, &(run, view, data)) in queries.iter().enumerate() {
-                match enforce_view(state, tenant, run, view) {
-                    Enforced::Allow(v) => routed.push((i, (run, v, data))),
-                    Enforced::Deny(msg) => slots[i] = Some(BatchItem::Err(msg)),
-                }
-            }
-            let triples: Vec<_> = routed.iter().map(|&(_, t)| t).collect();
-            for ((i, (run, _, _)), ans) in routed.iter().zip(router.query_batch(&triples)) {
-                slots[*i] = Some(match conceal_data_errors(state, tenant, *run, ans) {
+        Request::QueryBatch { queries, .. } => Response::Batch {
+            results: gate
+                .gate_batch(tenant, queries, router, |q| router.query_batch(q))
+                .into_iter()
+                .map(|ans| match ans {
                     Ok(p) => BatchItem::Ok(p),
                     Err(e) => BatchItem::Err(e.to_string()),
-                });
-            }
-            Response::Batch {
-                results: slots
-                    .into_iter()
-                    .map(|s| s.expect("every batch slot answered"))
-                    .collect(),
-            }
-        }
+                })
+                .collect(),
+        },
         Request::ImmediateProvenance {
             run, view, data, ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(
-                    state,
-                    tenant,
-                    *run,
-                    router.immediate_provenance(*run, view, *data),
-                ),
-                |answer| Response::Immediate { answer },
-            ),
+        } => Response::Immediate {
+            answer: gate.gate_query(tenant, *run, *view, router, |v| {
+                router.immediate_provenance(*run, v, *data)
+            })?,
         },
         Request::DependentsOf {
             run, view, data, ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(state, tenant, *run, router.dependents_of(*run, view, *data)),
-                |ids| Response::Data { ids },
-            ),
+        } => Response::Data {
+            ids: gate.gate_query(tenant, *run, *view, router, |v| {
+                router.dependents_of(*run, v, *data)
+            })?,
         },
         Request::DataBetween {
             run,
@@ -894,29 +722,21 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
             from,
             to,
             ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(
-                    state,
-                    tenant,
-                    *run,
-                    router.data_between(*run, view, *from, *to),
-                ),
-                |ids| Response::Data { ids },
-            ),
+        } => Response::Data {
+            ids: gate.gate_query(tenant, *run, *view, router, |v| {
+                router.data_between(*run, v, *from, *to)
+            })?,
         },
         Request::FinalOutputs { run, .. } => {
-            if let Some(msg) = enforce_run(state, tenant, *run) {
-                return Response::Error { message: msg };
+            gate.gate_run(tenant, *run, router)?;
+            Response::Data {
+                ids: router.final_outputs(*run)?,
             }
-            ok_or(router.final_outputs(*run), |ids| Response::Data { ids })
         }
-        Request::VisibleData { run, view, .. } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(router.visible_data(*run, view), |ids| Response::Data {
-                ids,
-            }),
+        Request::VisibleData { run, view, .. } => Response::Data {
+            ids: gate.gate_query(tenant, *run, *view, router, |v| {
+                router.visible_data(*run, v)
+            })?,
         },
         Request::Stats => Response::StatsAll {
             shards: router.stats(),
@@ -956,27 +776,30 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
                 }
             }
         }
-        Request::Checkpoint => ok_or(router.checkpoint(), |()| Response::Ok),
+        Request::Checkpoint => {
+            router.checkpoint()?;
+            Response::Ok
+        }
         Request::Resolve { workflow, view } => {
             // A workflow this tenant's policy hides must resolve with
             // the *same bytes* as one that does not exist — otherwise
             // `Resolve` is an existence oracle over hidden names.
             let spec = match router.spec_by_name(workflow) {
-                Some(s) if enforce_spec(state, tenant, s).is_none() => s,
+                Some(s) if gate.gate_spec(tenant, s, router).is_ok() => s,
                 _ => {
-                    return Response::Error {
+                    return Ok(Response::Error {
                         message: format!("no workflow named `{workflow}`"),
-                    }
+                    })
                 }
             };
             let view_id = match view {
                 None => None,
                 Some(name) => match router.find_view(spec, name) {
-                    Some(v) => Some(effective_view_id(state, tenant, spec, v)),
+                    Some(v) => Some(gate.effective_view_id(tenant, spec, v, router)),
                     None => {
-                        return Response::Error {
+                        return Ok(Response::Error {
                             message: format!("no view named `{name}` for this workflow"),
-                        }
+                        })
                     }
                 },
             };
@@ -994,16 +817,12 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
             // Installing a policy rewrites what `subject` can see;
             // clearing one widens it. Both are administration.
             if !is_admin(state, conn, token) {
-                return Response::Error {
+                return Ok(Response::Error {
                     message: "policy set refused: admin token required".to_string(),
-                };
+                });
             }
-            ok_or(
-                router
-                    .policies()
-                    .install(subject, policy.clone(), router, &router.policy_sink()),
-                |()| Response::Ok,
-            )
+            gate.install(subject, policy.clone(), router, router)?;
+            Response::Ok
         }
         Request::PolicyGet {
             tenant: subject,
@@ -1012,12 +831,12 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
             // A tenant may always read its own policy; anyone else's
             // requires admin (the policy lists hidden names).
             if subject != tenant && !is_admin(state, conn, token) {
-                return Response::Error {
+                return Ok(Response::Error {
                     message: "policy get refused: admin token required".to_string(),
-                };
+                });
             }
             Response::Policy {
-                policy: router.policies().get(subject).map(|p| (*p).clone()),
+                policy: gate.get(subject).map(|p| (*p).clone()),
             }
         }
         // Control-plane requests are answered in `dispatch` before
@@ -1031,5 +850,5 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
         | Request::Shutdown { .. } => Response::Error {
             message: "control request routed to the data plane".to_string(),
         },
-    }
+    })
 }

@@ -1,39 +1,19 @@
 //! The ZOOM system facade (Section IV, Figure 8): one object wiring the
 //! provenance warehouse, the view builder, and the query layer together.
 
-use std::cell::RefCell;
 use std::path::Path;
 use zoom_graph::NodeId;
 use zoom_model::{DataId, EventLog, LogEvent, UserView, WorkflowRun, WorkflowSpec};
 use zoom_views::relev_user_view_builder;
 use zoom_warehouse::metrics::MetricsRegistry;
 use zoom_warehouse::persist::PersistError;
-use zoom_warehouse::privacy::{Decision, PolicyMetricsSink, PolicyTable, ViewRegistry};
+use zoom_warehouse::privacy::{PolicyTable, Registrar};
 use zoom_warehouse::{
-    DurableError, DurableOptions, DurableWarehouse, FsckReport, HealthReport, ImmediateAnswer,
-    IndexBackend, MetricsSnapshot, ProvenanceResult, PushOutcome, ReadRegistrar, Result, RunId,
+    Backing, DurableError, DurableOptions, DurableWarehouse, FsckReport, HealthReport,
+    ImmediateAnswer, IndexBackend, MetricsSnapshot, ProvenanceResult, PushOutcome, Result, RunId,
     SlowQuery, SpecId, StreamError, TraceOp, TraceTarget, ViewId, VisibilityPolicy, Warehouse,
     WarehouseError, WarehouseStats,
 };
-
-/// Maps a durable-store error back into the warehouse error space:
-/// warehouse-level rejections surface identically to the in-memory path;
-/// genuine durability failures (io, torn snapshots, bad manifests) come
-/// through as [`WarehouseError::Durability`].
-fn durability_err(e: DurableError) -> WarehouseError {
-    match e {
-        DurableError::Warehouse(we) => we,
-        other => WarehouseError::Durability(Box::new(other)),
-    }
-}
-
-/// The storage behind a [`Zoom`] system: a plain in-memory warehouse or a
-/// crash-safe [`DurableWarehouse`] directory.
-#[derive(Debug)]
-enum Backing {
-    Memory(Box<Warehouse>),
-    Durable(Box<DurableWarehouse>),
-}
 
 /// The ZOOM system: registration, view building, execution loading, and
 /// provenance querying behind one API.
@@ -50,74 +30,7 @@ pub struct Zoom {
 
 impl Default for Zoom {
     fn default() -> Self {
-        Zoom {
-            backing: Backing::Memory(Box::new(Warehouse::new())),
-            policies: PolicyTable::new(),
-        }
-    }
-}
-
-/// [`ViewRegistry`] + [`PolicyMetricsSink`] over an exclusively-borrowed
-/// [`Zoom`]: view registration takes the facade's own (journaled, when
-/// durable) path, and enforcement counters land in the warehouse's
-/// metrics registry. The `RefCell` threads the single `&mut` through the
-/// registry trait's `&self` methods — sound because the policy compiler
-/// never re-enters the registrar.
-struct ZoomRegistrar<'a>(RefCell<&'a mut Zoom>);
-
-impl ViewRegistry for ZoomRegistrar<'_> {
-    fn spec_of(&self, id: SpecId) -> Result<WorkflowSpec> {
-        self.0.borrow().warehouse().spec(id).cloned()
-    }
-    fn view_of(&self, id: ViewId) -> Result<UserView> {
-        self.0.borrow().warehouse().view(id).cloned()
-    }
-    fn find_view_id(&self, spec: SpecId, name: &str) -> Option<ViewId> {
-        self.0.borrow().warehouse().find_view(spec, name)
-    }
-    fn register_view_if_absent(&self, spec: SpecId, view: &UserView) -> Result<ViewId> {
-        let mut z = self.0.borrow_mut();
-        if let Some(existing) = z.warehouse().find_view(spec, view.name()) {
-            return Ok(existing);
-        }
-        z.register_view_raw(spec, view.clone())
-    }
-    fn spec_ids(&self) -> Vec<SpecId> {
-        self.0.borrow().warehouse().spec_ids()
-    }
-    fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId> {
-        self.0.borrow().warehouse().views_of_spec(spec).to_vec()
-    }
-}
-
-impl PolicyMetricsSink for ZoomRegistrar<'_> {
-    fn policy_substitution(&self) {
-        self.0
-            .borrow()
-            .warehouse()
-            .metrics_registry()
-            .record_policy_substitution();
-    }
-    fn policy_denial(&self) {
-        self.0
-            .borrow()
-            .warehouse()
-            .metrics_registry()
-            .record_policy_denial();
-    }
-    fn policy_cache_hit(&self) {
-        self.0
-            .borrow()
-            .warehouse()
-            .metrics_registry()
-            .record_policy_cache_hit();
-    }
-    fn policy_compilation(&self) {
-        self.0
-            .borrow()
-            .warehouse()
-            .metrics_registry()
-            .record_policy_compilation();
+        Zoom::over(Backing::default())
     }
 }
 
@@ -127,15 +40,21 @@ impl Zoom {
         Self::default()
     }
 
+    fn over(backing: Backing) -> Self {
+        Zoom {
+            backing,
+            policies: PolicyTable::new(),
+        }
+    }
+
     /// Opens (or initializes) a crash-safe system in `dir`: every
     /// registration and run load is journaled before it is acknowledged,
     /// and the journal auto-compacts into snapshots. See
     /// [`zoom_warehouse::durable`].
     pub fn open_durable(dir: &Path) -> std::result::Result<Self, DurableError> {
-        Ok(Zoom {
-            backing: Backing::Durable(Box::new(DurableWarehouse::open(dir)?)),
-            policies: PolicyTable::new(),
-        })
+        Ok(Zoom::over(Backing::Durable(Box::new(
+            DurableWarehouse::open(dir)?,
+        ))))
     }
 
     /// [`Zoom::open_durable`] with explicit durability options.
@@ -143,28 +62,21 @@ impl Zoom {
         dir: &Path,
         options: DurableOptions,
     ) -> std::result::Result<Self, DurableError> {
-        Ok(Zoom {
-            backing: Backing::Durable(Box::new(DurableWarehouse::open_opts(dir, options)?)),
-            policies: PolicyTable::new(),
-        })
+        Ok(Zoom::over(Backing::Durable(Box::new(
+            DurableWarehouse::open_opts(dir, options)?,
+        ))))
     }
 
     /// Whether this system is backed by a durable directory.
     pub fn is_durable(&self) -> bool {
-        matches!(self.backing, Backing::Durable(_))
+        self.backing.is_durable()
     }
 
     /// Forces a compaction of the durable store (snapshot, fresh journal,
     /// atomic manifest swing). Returns `false` (and does nothing) for
     /// in-memory systems.
     pub fn checkpoint(&mut self) -> Result<bool> {
-        match &mut self.backing {
-            Backing::Memory(_) => Ok(false),
-            Backing::Durable(dw) => {
-                dw.checkpoint().map_err(durability_err)?;
-                Ok(true)
-            }
-        }
+        self.backing.checkpoint()
     }
 
     /// Rebuilds a durable backing in place: fsck the directory, replay
@@ -176,25 +88,18 @@ impl Zoom {
     /// `Zoom`. Returns `None` (and does nothing) for in-memory systems;
     /// on any failure the existing backing is left untouched.
     pub fn repair(&mut self) -> std::result::Result<Option<FsckReport>, DurableError> {
-        let Backing::Durable(dw) = &self.backing else {
+        let Some(source) = self.backing.rebuild_source() else {
             return Ok(None);
         };
-        let (io, dir, options) = (dw.io(), dw.dir().to_path_buf(), dw.options());
-        let report = zoom_warehouse::durable::fsck_with(&*io, &dir)?;
-        let mut fresh = DurableWarehouse::open_with(io, &dir, options)?;
-        // Recovery alone is read-only; only a write proves the disk back.
-        fresh.checkpoint()?;
-        self.backing = Backing::Durable(Box::new(fresh));
+        let (report, fresh) = source.run()?;
+        self.backing = fresh;
         Ok(Some(report))
     }
 
     /// Warehouse statistics; durable systems fill in the journal and
     /// compaction counters.
     pub fn stats(&self) -> WarehouseStats {
-        match &self.backing {
-            Backing::Memory(w) => w.stats(),
-            Backing::Durable(dw) => dw.stats(),
-        }
+        self.backing.stats()
     }
 
     /// A full observability snapshot: the [`WarehouseStats`] table
@@ -225,10 +130,7 @@ impl Zoom {
     /// state, and the lifetime resilience counters. In-memory systems are
     /// always healthy and writable; durable systems report the breaker.
     pub fn health(&self) -> HealthReport {
-        match &self.backing {
-            Backing::Memory(_) => HealthReport::in_memory(),
-            Backing::Durable(dw) => dw.health(),
-        }
+        self.backing.health()
     }
 
     /// Sets the default per-query time budget. `None` removes the limit.
@@ -254,10 +156,7 @@ impl Zoom {
     /// `max_in_flight` wait in a queue of at most `max_queue`; beyond that
     /// they are shed with [`WarehouseError::Overloaded`].
     pub fn set_admission_limits(&mut self, max_in_flight: usize, max_queue: usize) {
-        match &mut self.backing {
-            Backing::Memory(w) => w.set_admission_limits(max_in_flight, max_queue),
-            Backing::Durable(dw) => dw.set_admission_limits(max_in_flight, max_queue),
-        }
+        self.backing.set_admission_limits(max_in_flight, max_queue);
     }
 
     /// Caps worker threads used by batch query fan-out (0 = hardware
@@ -287,20 +186,14 @@ impl Zoom {
 
     /// Read access to the underlying warehouse.
     pub fn warehouse(&self) -> &Warehouse {
-        match &self.backing {
-            Backing::Memory(w) => w,
-            Backing::Durable(dw) => dw.warehouse(),
-        }
+        self.backing.warehouse()
     }
 
     /// Mutable access to the underlying warehouse, for bulk operations
     /// that bypass the durability layer. `None` when the system is
     /// durable: direct mutation would diverge memory from disk.
     pub fn warehouse_mut(&mut self) -> Option<&mut Warehouse> {
-        match &mut self.backing {
-            Backing::Memory(w) => Some(w),
-            Backing::Durable(_) => None,
-        }
+        self.backing.warehouse_mut()
     }
 
     // ------------------------------------------------------------------
@@ -309,28 +202,14 @@ impl Zoom {
 
     /// Registers a workflow specification (journaled when durable).
     pub fn register_workflow(&mut self, spec: WorkflowSpec) -> Result<SpecId> {
-        let id = match &mut self.backing {
-            Backing::Memory(w) => w.register_spec(spec),
-            Backing::Durable(dw) => dw.register_spec(spec).map_err(durability_err),
-        }?;
+        let id = self.backing.register_spec(spec)?;
         self.refresh_policies()?;
         Ok(id)
     }
 
-    /// The registration path without the policy refresh — what the
-    /// policy compiler itself registers privacy views through (refreshing
-    /// from inside the refresh would recurse before the compiled cache is
-    /// written).
-    fn register_view_raw(&mut self, spec: SpecId, view: UserView) -> Result<ViewId> {
-        match &mut self.backing {
-            Backing::Memory(w) => w.register_view(spec, view),
-            Backing::Durable(dw) => dw.register_view(spec, view).map_err(durability_err),
-        }
-    }
-
     /// Registers an explicit user view (journaled when durable).
     pub fn register_view(&mut self, spec: SpecId, view: UserView) -> Result<ViewId> {
-        let id = self.register_view_raw(spec, view)?;
+        let id = self.backing.register_view(spec, view)?;
         self.refresh_policies()?;
         Ok(id)
     }
@@ -398,15 +277,10 @@ impl Zoom {
     /// *here*, at administration time, with
     /// [`WarehouseError::PolicyUnsatisfiable`].
     pub fn set_policy(&mut self, tenant: &str, policy: Option<VisibilityPolicy>) -> Result<()> {
-        let table = std::mem::take(&mut self.policies);
-        let result = {
-            let reg = ZoomRegistrar(RefCell::new(self));
-            table
-                .install(tenant, policy, &reg, &reg)
-                .and_then(|()| table.compile_all(&reg, &reg))
-        };
-        self.policies = table;
-        result
+        let reg = Registrar::write(&mut self.backing);
+        self.policies
+            .install(tenant, policy, &reg, &reg)
+            .and_then(|()| self.policies.compile_all(&reg, &reg))
     }
 
     /// The installed policy for `tenant`, if any.
@@ -419,16 +293,8 @@ impl Zoom {
     /// registration so tenant-scoped queries never need to register
     /// through a shared borrow.
     fn refresh_policies(&mut self) -> Result<()> {
-        if self.policies.is_empty() {
-            return Ok(());
-        }
-        let table = std::mem::take(&mut self.policies);
-        let result = {
-            let reg = ZoomRegistrar(RefCell::new(self));
-            table.compile_all(&reg, &reg)
-        };
-        self.policies = table;
-        result
+        let reg = Registrar::write(&mut self.backing);
+        self.policies.compile_all(&reg, &reg)
     }
 
     /// The view a query by `tenant` against `(run, view)` actually
@@ -436,75 +302,26 @@ impl Zoom {
     /// when no policies exist at all), the compiled privacy/meet view for
     /// restricted ones, and `Err(RunNotFound)` — byte-identical to the
     /// run being absent — when the policy denies the run's workflow
-    /// outright. Internal policy errors fail *closed* for the same
-    /// reason: a distinct error would confirm the run exists.
+    /// outright. See [`PolicyTable::effective_view`].
     pub fn effective_view(&self, tenant: &str, run: RunId, view: ViewId) -> Result<ViewId> {
-        if self.policies.is_empty() {
-            return Ok(view);
-        }
-        let wh = self.warehouse();
-        let Ok(spec) = wh.run_spec(run) else {
-            return Ok(view); // natural RunNotFound renders downstream
-        };
-        let reg = ReadRegistrar::new(wh);
-        let sink = wh.metrics_registry();
-        match self.policies.spec_denied(tenant, spec, &reg, sink) {
-            Ok(false) => {}
-            Ok(true) | Err(_) => return Err(WarehouseError::RunNotFound(run)),
-        }
-        match self.policies.view_decision(tenant, spec, view, &reg, sink) {
-            Ok(Decision::Pass) => Ok(view),
-            Ok(Decision::Substitute(v)) => Ok(v),
-            Ok(Decision::Deny) | Err(_) => Err(WarehouseError::RunNotFound(run)),
-        }
+        self.policies
+            .effective_view(tenant, run, view, &Registrar::Read(self.warehouse()))
     }
 
-    /// Renders hidden-data answers as absence for restricted tenants: a
-    /// [`WarehouseError::DataNotVisible`] from a query `tenant` ran under
-    /// a policy that conceals modules in `run`'s workflow becomes
-    /// [`WarehouseError::DataNotFound`]. Without this, probing a data id
-    /// internal to a concealed composite answers "exists but hidden" —
-    /// an existence oracle distinguishing two runs that differ only
-    /// inside hidden modules. Internal policy errors keep the laundered
-    /// rendering (fail closed).
-    fn conceal_data_errors<T>(&self, tenant: &str, run: RunId, res: Result<T>) -> Result<T> {
-        let Err(WarehouseError::DataNotVisible { data, view }) = res else {
-            return res;
-        };
-        if !self.policies.is_empty() {
-            let wh = self.warehouse();
-            if let Ok(spec) = wh.run_spec(run) {
-                let reg = ReadRegistrar::new(wh);
-                match self
-                    .policies
-                    .spec_restricted(tenant, spec, &reg, wh.metrics_registry())
-                {
-                    Ok(true) | Err(_) => return Err(WarehouseError::DataNotFound(data)),
-                    Ok(false) => {}
-                }
-            }
-        }
-        Err(WarehouseError::DataNotVisible { data, view })
-    }
-
-    /// Gate for run-addressed (viewless) tenant queries: `Err(RunNotFound)`
-    /// when `tenant`'s policy hides the run's workflow.
-    fn run_gate(&self, tenant: &str, run: RunId) -> Result<()> {
-        if self.policies.is_empty() {
-            return Ok(());
-        }
+    /// One view-addressed query as `tenant`, through the tenant gate:
+    /// `query` runs against the effective view, and hidden-data errors
+    /// render as absence for restricted tenants.
+    fn gate_query<T>(
+        &self,
+        tenant: &str,
+        run: RunId,
+        view: ViewId,
+        query: impl FnOnce(&Warehouse, ViewId) -> Result<T>,
+    ) -> Result<T> {
+        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
         let wh = self.warehouse();
-        let Ok(spec) = wh.run_spec(run) else {
-            return Ok(());
-        };
-        let reg = ReadRegistrar::new(wh);
-        match self
-            .policies
-            .spec_denied(tenant, spec, &reg, wh.metrics_registry())
-        {
-            Ok(false) => Ok(()),
-            Ok(true) | Err(_) => Err(WarehouseError::RunNotFound(run)),
-        }
+        self.policies
+            .gate_query(tenant, run, view, &Registrar::Read(wh), |v| query(wh, v))
     }
 
     /// [`Zoom::deep_provenance`] as `tenant`, with the tenant's policy
@@ -516,10 +333,7 @@ impl Zoom {
         view: ViewId,
         data: DataId,
     ) -> Result<ProvenanceResult> {
-        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().deep_provenance(run, view, data);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate_query(tenant, run, view, |wh, v| wh.deep_provenance(run, v, data))
     }
 
     /// [`Zoom::immediate_provenance`] as `tenant`.
@@ -530,10 +344,9 @@ impl Zoom {
         view: ViewId,
         data: DataId,
     ) -> Result<ImmediateAnswer> {
-        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().immediate_provenance(run, view, data);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate_query(tenant, run, view, |wh, v| {
+            wh.immediate_provenance(run, v, data)
+        })
     }
 
     /// [`Zoom::dependents_of`] as `tenant`.
@@ -544,10 +357,7 @@ impl Zoom {
         view: ViewId,
         data: DataId,
     ) -> Result<Vec<DataId>> {
-        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().dependents_of(run, view, data);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate_query(tenant, run, view, |wh, v| wh.dependents_of(run, v, data))
     }
 
     /// [`Zoom::data_between`] as `tenant`.
@@ -559,24 +369,23 @@ impl Zoom {
         from: Option<zoom_model::StepId>,
         to: Option<zoom_model::StepId>,
     ) -> Result<Vec<DataId>> {
-        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().data_between(run, view, from, to);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate_query(tenant, run, view, |wh, v| wh.data_between(run, v, from, to))
     }
 
-    /// [`Zoom::final_outputs`] as `tenant`.
+    /// [`Zoom::final_outputs`] as `tenant`: `Err(RunNotFound)` when the
+    /// tenant's policy hides the run's workflow.
     pub fn final_outputs_as(&self, tenant: &str, run: RunId) -> Result<Vec<DataId>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        self.run_gate(tenant, run)?;
+        self.policies
+            .gate_run(tenant, run, &Registrar::Read(self.warehouse()))?;
         self.final_outputs(run)
     }
 
     /// [`Zoom::visible_data`] as `tenant`.
     pub fn visible_data_as(&self, tenant: &str, run: RunId, view: ViewId) -> Result<Vec<DataId>> {
-        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        self.visible_data(run, view)
+        self.gate_query(tenant, run, view, |wh, v| {
+            Ok(wh.view_run(run, v)?.visible_data())
+        })
     }
 
     /// [`Zoom::query_batch`] as `tenant`: each triple is enforced
@@ -588,42 +397,21 @@ impl Zoom {
         queries: &[(RunId, ViewId, DataId)],
     ) -> Vec<Result<ProvenanceResult>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        if self.policies.is_empty() {
-            return self.query_batch(queries);
-        }
-        let mut slots: Vec<Option<Result<ProvenanceResult>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut routed: Vec<(usize, (RunId, ViewId, DataId))> = Vec::new();
-        for (i, &(run, view, data)) in queries.iter().enumerate() {
-            match self.effective_view(tenant, run, view) {
-                Ok(v) => routed.push((i, (run, v, data))),
-                Err(e) => slots[i] = Some(Err(e)),
-            }
-        }
-        let triples: Vec<_> = routed.iter().map(|&(_, t)| t).collect();
-        for ((i, (run, _, _)), ans) in routed.iter().zip(self.query_batch(&triples)) {
-            slots[*i] = Some(self.conceal_data_errors(tenant, *run, ans));
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every batch slot answered"))
-            .collect()
+        let wh = self.warehouse();
+        self.policies
+            .gate_batch(tenant, queries, &Registrar::Read(wh), |q| {
+                wh.deep_provenance_many(q)
+            })
     }
 
     /// Loads a validated run (journaled when durable).
     pub fn load_run(&mut self, spec: SpecId, run: WorkflowRun) -> Result<RunId> {
-        match &mut self.backing {
-            Backing::Memory(w) => w.load_run(spec, run),
-            Backing::Durable(dw) => dw.load_run(spec, run).map_err(durability_err),
-        }
+        self.backing.load_run(spec, run)
     }
 
     /// Ingests a workflow-system event log (journaled when durable).
     pub fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId> {
-        match &mut self.backing {
-            Backing::Memory(w) => w.load_log(spec, log),
-            Backing::Durable(dw) => dw.load_log(spec, log).map_err(durability_err),
-        }
+        self.backing.load_log(spec, log)
     }
 
     // ------------------------------------------------------------------
@@ -636,10 +424,7 @@ impl Zoom {
     /// [`StreamHandle::seal`] turns the prefix into a complete run.
     /// Journaled event-by-event when durable.
     pub fn begin_stream(&mut self, spec: SpecId) -> Result<StreamHandle<'_>> {
-        let run = match &mut self.backing {
-            Backing::Memory(w) => w.begin_stream(spec)?,
-            Backing::Durable(dw) => dw.begin_stream(spec).map_err(durability_err)?,
-        };
+        let run = self.backing.begin_stream(spec)?;
         Ok(StreamHandle { zoom: self, run })
     }
 
@@ -656,18 +441,12 @@ impl Zoom {
     /// Pushes one event into a live stream (journaled when durable).
     /// Handle-free variant of [`StreamHandle::push_event`].
     pub fn stream_push(&mut self, run: RunId, event: &LogEvent) -> Result<PushOutcome> {
-        match &mut self.backing {
-            Backing::Memory(w) => w.stream_push(run, event),
-            Backing::Durable(dw) => dw.stream_push(run, event).map_err(durability_err),
-        }
+        self.backing.stream_push(run, event)
     }
 
     /// Seals a live stream into a complete run (journaled when durable).
     pub fn stream_seal(&mut self, run: RunId) -> Result<()> {
-        match &mut self.backing {
-            Backing::Memory(w) => w.stream_seal(run),
-            Backing::Durable(dw) => dw.stream_seal(run).map_err(durability_err),
-        }
+        self.backing.stream_seal(run)
     }
 
     /// Number of live (unsealed) streams.
@@ -781,10 +560,9 @@ impl Zoom {
 
     /// Loads a system (in-memory) from a warehouse snapshot.
     pub fn load(path: &Path) -> std::result::Result<Self, PersistError> {
-        Ok(Zoom {
-            backing: Backing::Memory(Box::new(zoom_warehouse::persist::load(path)?)),
-            policies: PolicyTable::new(),
-        })
+        Ok(Zoom::over(Backing::Memory(Box::new(
+            zoom_warehouse::persist::load(path)?,
+        ))))
     }
 }
 
@@ -829,16 +607,11 @@ impl StreamHandle<'_> {
 
 impl TraceTarget for Zoom {
     fn apply_trace_op(&mut self, op: &TraceOp) -> u64 {
-        // Delegate to the backing store's own impl so mutations take the
-        // journaled path on durable systems and digests stay canonical.
-        match &mut self.backing {
-            Backing::Memory(w) => w.apply_trace_op(op),
-            Backing::Durable(dw) => dw.apply_trace_op(op),
-        }
+        self.backing.apply_trace_op(op)
     }
 
     fn replay_metrics(&self) -> Option<&MetricsRegistry> {
-        Some(self.warehouse().metrics_registry())
+        self.backing.replay_metrics()
     }
 }
 

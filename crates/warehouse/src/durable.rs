@@ -967,6 +967,40 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_first_wal_record_fails_open() {
+        let dir = tempdir("corrupt-first");
+        let s = spec();
+        {
+            let mut dw = DurableWarehouse::open(&dir).unwrap();
+            let sid = dw.register_spec(s.clone()).unwrap();
+            dw.load_run(sid, run(&s)).unwrap();
+        }
+        // Flip a byte inside the FIRST record's payload: a bad CRC before
+        // the tail is corruption, not a torn write.
+        let wal = dir.join(wal_name(0));
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[journal::MAGIC.len() + 12] ^= 0xFF;
+        std::fs::write(&wal, &bytes).unwrap();
+        assert!(matches!(
+            DurableWarehouse::open(&dir),
+            Err(DurableError::Journal(JournalError::Corrupt { record: 0 }))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_wal_header_fails_open() {
+        let dir = tempdir("bad-wal-header");
+        drop(DurableWarehouse::open(&dir).unwrap());
+        std::fs::write(dir.join(wal_name(0)), b"NOTAJOURNAL!").unwrap();
+        assert!(matches!(
+            DurableWarehouse::open(&dir),
+            Err(DurableError::BadManifest(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn doctored_journal_id_rejected() {
         let dir = tempdir("doctored");
         let s = spec();

@@ -34,10 +34,13 @@
 //!   partition-join meet, and the [`PolicyTable`] the enforcement points
 //!   consult — one atomic load for tenants with no policy;
 //! * [`persist`] — binary snapshot save/load;
-//! * [`journal`] — an append-only, checksummed journal for incremental
-//!   durability (crash-tolerant replay, compaction into snapshots);
+//! * [`journal`] — the checksummed record frames and replay behind the
+//!   durable store's write-ahead log;
 //! * [`durable`] — the unified crash-safe store: snapshot + journal tail
 //!   behind an atomically-swung manifest, with auto-compaction and `fsck`;
+//! * [`backing`] — the one [`Backing`] (in-memory or durable) under the
+//!   local facade and under each daemon shard: write delegation, the
+//!   durable-error mapping, and the online-repair rebuild;
 //! * [`io`] — the [`StorageIo`] abstraction ([`RealFs`] in production,
 //!   [`FaultFs`] for crash-recovery fault injection);
 //! * [`resilience`] — deadlines + cooperative cancellation, admission
@@ -49,6 +52,7 @@
 //! * [`codec`] — the bincode-style serde format behind persistence;
 //! * [`fxhash`] — fast hashing for the integer-keyed indexes.
 
+pub mod backing;
 pub mod cache;
 pub mod chaos;
 pub mod codec;
@@ -70,12 +74,13 @@ pub mod table;
 pub mod trace;
 pub mod wire;
 
+pub use backing::{Backing, Rebuild};
 pub use cache::ViewRunCache;
 pub use chaos::{ChaosDriver, FaultAction, FaultEvent, FaultSchedule, SplitMix64};
 pub use durable::{fsck, DurableError, DurableOptions, DurableWarehouse, FsckReport};
 pub use index::{IndexBuildError, ProvenanceIndex, ProvenanceIndexCache, RunKeyedCache};
 pub use io::{FaultFs, RealFs, StorageIo};
-pub use journal::{JournalError, JournaledWarehouse};
+pub use journal::JournalError;
 pub use labels::{LabelIndex, UpdateOutcome, FRAGMENTATION_FACTOR};
 pub use metrics::{
     CacheMetrics, HistogramSnapshot, IndexMetrics, LatencyHistogram, MetricsRegistry,
@@ -83,8 +88,8 @@ pub use metrics::{
     StreamMetrics, ViewClass,
 };
 pub use privacy::{
-    conceal, partition_join, partitions_equal, Decision, MutRegistrar, PolicyMetricsSink,
-    PolicyTable, ReadRegistrar, ViewRegistry, VisibilityPolicy,
+    conceal, partition_join, partitions_equal, Decision, PolicyMetricsSink, PolicyTable, Registrar,
+    ViewRegistry, VisibilityPolicy,
 };
 pub use query::{
     data_between, deep_provenance, deep_provenance_bfs, deep_provenance_deadline,
@@ -108,6 +113,6 @@ pub use trace::{
     TraceTarget,
 };
 pub use wire::{
-    BatchItem, RepairOutcome, Request, Response, ShardBacking, ShardPolicySink, ShardRouter,
-    TenantQuotaTable, TenantQuotas, WireError, DEFAULT_RETRY_AFTER_MS, MAX_FRAME_BYTES,
+    BatchItem, RepairOutcome, Request, Response, ShardPolicySink, ShardRouter, TenantQuotaTable,
+    TenantQuotas, WireError, DEFAULT_RETRY_AFTER_MS, MAX_FRAME_BYTES,
 };

@@ -29,14 +29,17 @@
 //!   [`PolicyTable::is_empty`] from one relaxed atomic load, so
 //!   unrestricted deployments pay a single branch per query.
 //!
-//! Enforcement is **view substitution before dispatch**: the daemon (and
-//! the local `*_as` facade variants) rewrite a restricted tenant's query
-//! to run against the effective view, and render denials byte-identically
-//! to the corresponding not-found error so present-but-hidden is
-//! indistinguishable from absent.
+//! Enforcement is **view substitution before dispatch**, through one
+//! tenant gate — the `gate_*`/`effective_*` rules on [`PolicyTable`],
+//! generic over [`ViewRegistry`] + [`PolicyMetricsSink`] — that both the
+//! daemon and the local `*_as` facade variants call: a restricted
+//! tenant's query runs against the effective view, and denials render
+//! byte-identically to the corresponding not-found error so
+//! present-but-hidden is indistinguishable from absent.
 
+use crate::backing::Backing;
 use crate::metrics::MetricsRegistry;
-use crate::schema::{SpecId, ViewId};
+use crate::schema::{RunId, SpecId, ViewId};
 use crate::store::{Result as WhResult, Warehouse, WarehouseError};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -45,7 +48,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use zoom_graph::NodeId;
-use zoom_model::{CompositeModule, UserView, WorkflowSpec};
+use zoom_model::{CompositeModule, DataId, UserView, WorkflowSpec};
 use zoom_views::relev_user_view_builder;
 
 /// What a tenant must not see. Module labels apply across every workflow
@@ -235,39 +238,25 @@ pub fn partitions_equal(a: &UserView, b: &UserView) -> bool {
     a.spec_name() == b.spec_name() && a.refines(b) && b.refines(a)
 }
 
-/// Where enforcement counters land. The local facade passes its
-/// warehouse's [`MetricsRegistry`] directly; the sharded router passes a
-/// shim that locks shard 0 per record (policy decisions never hold a
-/// shard lock while recording, so the shim cannot deadlock).
+/// Where enforcement counters land. The local facade records into its
+/// warehouse's [`MetricsRegistry`]; the sharded router records into shard
+/// 0's, locking it per record (policy decisions never hold a shard lock
+/// while recording, so this cannot deadlock).
 pub trait PolicyMetricsSink {
-    /// A query was rewritten to a coarser view.
-    fn policy_substitution(&self);
-    /// A request was denied outright.
-    fn policy_denial(&self);
-    /// A decision was served from the compiled cache.
-    fn policy_cache_hit(&self);
-    /// A privacy view was compiled.
-    fn policy_compilation(&self);
+    /// Runs one `MetricsRegistry::record_policy_*` counter against the
+    /// registry this sink stands for.
+    fn record_policy(&self, record: fn(&MetricsRegistry));
 }
 
 impl PolicyMetricsSink for MetricsRegistry {
-    fn policy_substitution(&self) {
-        self.record_policy_substitution();
-    }
-    fn policy_denial(&self) {
-        self.record_policy_denial();
-    }
-    fn policy_cache_hit(&self) {
-        self.record_policy_cache_hit();
-    }
-    fn policy_compilation(&self) {
-        self.record_policy_compilation();
+    fn record_policy(&self, record: fn(&MetricsRegistry)) {
+        record(self);
     }
 }
 
-/// The registration surface the policy compiler needs, implemented by
-/// both the sharded [`crate::wire::ShardRouter`] (interior mutability)
-/// and a local `&mut Warehouse` adapter ([`MutRegistrar`]).
+/// The registration surface the policy compiler and the tenant gate
+/// need, implemented by the sharded [`crate::wire::ShardRouter`]
+/// (interior mutability) and by the local [`Registrar`].
 pub trait ViewRegistry {
     /// A clone of a registered specification.
     fn spec_of(&self, id: SpecId) -> WhResult<WorkflowSpec>;
@@ -282,83 +271,79 @@ pub trait ViewRegistry {
     fn spec_ids(&self) -> Vec<SpecId>;
     /// Every registered view id under `spec`.
     fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId>;
+    /// The specification a run belongs to.
+    fn spec_of_run(&self, run: RunId) -> WhResult<SpecId>;
 }
 
-/// [`ViewRegistry`] over a locally-owned warehouse. The policy compiler's
-/// trait takes `&self` (the daemon path registers through the router's
-/// interior mutability), so the exclusive borrow is threaded through a
-/// `RefCell` — sound because the facade never re-enters the registrar.
-pub struct MutRegistrar<'a>(RefCell<&'a mut Warehouse>);
-
-impl<'a> MutRegistrar<'a> {
-    /// Wraps an exclusively-borrowed warehouse.
-    pub fn new(wh: &'a mut Warehouse) -> Self {
-        MutRegistrar(RefCell::new(wh))
-    }
+/// [`ViewRegistry`] + [`PolicyMetricsSink`] over a locally-owned
+/// [`Backing`].
+///
+/// * `Write` registers through the backing's own (journaled, when
+///   durable) path. The registry trait takes `&self` (the daemon path
+///   registers through the router's interior mutability), so the
+///   exclusive borrow is threaded through a `RefCell` — sound because the
+///   policy compiler never re-enters the registrar.
+/// * `Read` serves the query-time (`&self`) paths of the local facade.
+///   The facade eagerly compiles after every registration, so query-time
+///   decisions are cache lookups or refinement shortcuts that never
+///   register; if a genuinely cold decision does need to register a join
+///   view, the attempt fails closed with [`WarehouseError::ViewNotFound`]
+///   (the gate maps internal enforcement errors to the plain not-found
+///   rendering).
+pub enum Registrar<'a> {
+    /// A shared borrow: lookups only.
+    Read(&'a Warehouse),
+    /// An exclusive borrow: lookups and registration.
+    Write(RefCell<&'a mut Backing>),
 }
 
-/// Read-only [`ViewRegistry`] over a shared warehouse borrow, for the
-/// query-time (`&self`) paths of the local facade. The facade eagerly
-/// compiles after every registration, so query-time decisions are cache
-/// lookups or refinement shortcuts that never register; if a genuinely
-/// cold decision does need to register a join view, the attempt fails
-/// closed with [`WarehouseError::ViewNotFound`] (callers map internal
-/// enforcement errors to the plain not-found rendering).
-pub struct ReadRegistrar<'a>(&'a Warehouse);
+impl<'a> Registrar<'a> {
+    /// A registering registrar over an exclusively-borrowed backing.
+    pub fn write(backing: &'a mut Backing) -> Self {
+        Registrar::Write(RefCell::new(backing))
+    }
 
-impl<'a> ReadRegistrar<'a> {
-    /// Wraps a shared warehouse borrow.
-    pub fn new(wh: &'a Warehouse) -> Self {
-        ReadRegistrar(wh)
-    }
-}
-
-impl ViewRegistry for ReadRegistrar<'_> {
-    fn spec_of(&self, id: SpecId) -> WhResult<WorkflowSpec> {
-        self.0.spec(id).cloned()
-    }
-    fn view_of(&self, id: ViewId) -> WhResult<UserView> {
-        self.0.view(id).cloned()
-    }
-    fn find_view_id(&self, spec: SpecId, name: &str) -> Option<ViewId> {
-        self.0.find_view(spec, name)
-    }
-    fn register_view_if_absent(&self, spec: SpecId, view: &UserView) -> WhResult<ViewId> {
-        match self.0.find_view(spec, view.name()) {
-            Some(existing) => Ok(existing),
-            None => Err(WarehouseError::ViewNotFound(ViewId(u32::MAX))),
+    fn read<T>(&self, f: impl FnOnce(&Warehouse) -> T) -> T {
+        match self {
+            Registrar::Read(wh) => f(wh),
+            Registrar::Write(b) => f(b.borrow().warehouse()),
         }
     }
-    fn spec_ids(&self) -> Vec<SpecId> {
-        self.0.spec_ids()
-    }
-    fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId> {
-        self.0.views_of_spec(spec).to_vec()
-    }
 }
 
-impl ViewRegistry for MutRegistrar<'_> {
+impl ViewRegistry for Registrar<'_> {
     fn spec_of(&self, id: SpecId) -> WhResult<WorkflowSpec> {
-        self.0.borrow().spec(id).cloned()
+        self.read(|w| w.spec(id).cloned())
     }
     fn view_of(&self, id: ViewId) -> WhResult<UserView> {
-        self.0.borrow().view(id).cloned()
+        self.read(|w| w.view(id).cloned())
     }
     fn find_view_id(&self, spec: SpecId, name: &str) -> Option<ViewId> {
-        self.0.borrow().find_view(spec, name)
+        self.read(|w| w.find_view(spec, name))
     }
     fn register_view_if_absent(&self, spec: SpecId, view: &UserView) -> WhResult<ViewId> {
-        let mut wh = self.0.borrow_mut();
-        if let Some(existing) = wh.find_view(spec, view.name()) {
+        if let Some(existing) = self.find_view_id(spec, view.name()) {
             return Ok(existing);
         }
-        wh.register_view(spec, view.clone())
+        match self {
+            Registrar::Read(_) => Err(WarehouseError::ViewNotFound(ViewId(u32::MAX))),
+            Registrar::Write(b) => b.borrow_mut().register_view(spec, view.clone()),
+        }
     }
     fn spec_ids(&self) -> Vec<SpecId> {
-        self.0.borrow().spec_ids()
+        self.read(|w| w.spec_ids())
     }
     fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId> {
-        self.0.borrow().views_of_spec(spec).to_vec()
+        self.read(|w| w.views_of_spec(spec).to_vec())
+    }
+    fn spec_of_run(&self, run: RunId) -> WhResult<SpecId> {
+        self.read(|w| w.run_spec(run))
+    }
+}
+
+impl PolicyMetricsSink for Registrar<'_> {
+    fn record_policy(&self, record: fn(&MetricsRegistry)) {
+        self.read(|w| record(w.metrics_registry()));
     }
 }
 
@@ -496,7 +481,7 @@ impl PolicyTable {
             .get(&(tenant.to_string(), spec_id))
             .copied()
         {
-            metrics.policy_cache_hit();
+            metrics.record_policy(MetricsRegistry::record_policy_cache_hit);
             return Ok(c);
         }
         let spec = reg.spec_of(spec_id)?;
@@ -509,7 +494,7 @@ impl PolicyTable {
             } else {
                 match conceal(&spec, &hidden) {
                     Ok(view) => {
-                        metrics.policy_compilation();
+                        metrics.record_policy(MetricsRegistry::record_policy_compilation);
                         let id = register_named(reg, spec_id, view)?;
                         Compiled::Restricted { privacy: id }
                     }
@@ -545,7 +530,7 @@ impl PolicyTable {
             Compiled::Denied
         );
         if denied {
-            metrics.policy_denial();
+            metrics.record_policy(MetricsRegistry::record_policy_denial);
         }
         Ok(denied)
     }
@@ -599,16 +584,16 @@ impl PolicyTable {
         match self.compiled_for(tenant, &policy, spec_id, reg, metrics)? {
             Compiled::Exempt => Ok(Decision::Pass),
             Compiled::Denied => {
-                metrics.policy_denial();
+                metrics.record_policy(MetricsRegistry::record_policy_denial);
                 Ok(Decision::Deny)
             }
             Compiled::Restricted { privacy } => {
                 if let Some(&eff) = self.effective.read().get(&(tenant.to_string(), requested)) {
-                    metrics.policy_cache_hit();
+                    metrics.record_policy(MetricsRegistry::record_policy_cache_hit);
                     return Ok(if eff == requested {
                         Decision::Pass
                     } else {
-                        metrics.policy_substitution();
+                        metrics.record_policy(MetricsRegistry::record_policy_substitution);
                         Decision::Substitute(eff)
                     });
                 }
@@ -639,7 +624,7 @@ impl PolicyTable {
                 if eff == requested {
                     Ok(Decision::Pass)
                 } else {
-                    metrics.policy_substitution();
+                    metrics.record_policy(MetricsRegistry::record_policy_substitution);
                     Ok(Decision::Substitute(eff))
                 }
             }
@@ -673,6 +658,179 @@ impl PolicyTable {
             }
         }
         Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // The tenant gate: the one set of rules both facades enforce.
+    // ------------------------------------------------------------------
+
+    /// The view gate: the view `tenant`'s query against `(run, view)`
+    /// executes with, plus the run's spec when a policy may apply (what
+    /// [`PolicyTable::launder`] needs, so the spec is resolved once per
+    /// query). A run the registry cannot resolve passes through so the
+    /// natural `RunNotFound` renders downstream; a denied workflow — and
+    /// any internal policy error, failing *closed* — renders as
+    /// `RunNotFound`, byte-identical to the run being absent.
+    fn admit<G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        run: RunId,
+        view: ViewId,
+        g: &G,
+    ) -> WhResult<(ViewId, Option<SpecId>)> {
+        if self.is_empty() {
+            return Ok((view, None));
+        }
+        let Ok(spec) = g.spec_of_run(run) else {
+            return Ok((view, None));
+        };
+        if !matches!(self.spec_denied(tenant, spec, g, g), Ok(false)) {
+            return Err(WarehouseError::RunNotFound(run));
+        }
+        match self.view_decision(tenant, spec, view, g, g) {
+            Ok(Decision::Pass) => Ok((view, Some(spec))),
+            Ok(Decision::Substitute(v)) => Ok((v, Some(spec))),
+            Ok(Decision::Deny) | Err(_) => Err(WarehouseError::RunNotFound(run)),
+        }
+    }
+
+    /// Renders hidden-data answers as absence for restricted tenants: a
+    /// [`WarehouseError::DataNotVisible`] from a query `tenant` ran under
+    /// a policy that conceals modules in `spec` becomes
+    /// [`WarehouseError::DataNotFound`]. Without this, probing a data id
+    /// internal to a concealed composite answers "exists but hidden" — an
+    /// existence oracle distinguishing two runs that differ only inside
+    /// hidden modules. Internal policy errors keep the laundered
+    /// rendering (fail closed).
+    fn launder<T, G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        spec: Option<SpecId>,
+        res: WhResult<T>,
+        g: &G,
+    ) -> WhResult<T> {
+        match (spec, &res) {
+            (Some(spec), Err(WarehouseError::DataNotVisible { data, .. }))
+                if !matches!(self.spec_restricted(tenant, spec, g, g), Ok(false)) =>
+            {
+                Err(WarehouseError::DataNotFound(*data))
+            }
+            _ => res,
+        }
+    }
+
+    /// The view `tenant` actually queries `(run, view)` through: the
+    /// requested view for unrestricted tenants, the compiled privacy or
+    /// meet view for restricted ones, `Err(RunNotFound)` when the policy
+    /// hides the run's workflow.
+    pub fn effective_view<G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        run: RunId,
+        view: ViewId,
+        g: &G,
+    ) -> WhResult<ViewId> {
+        self.admit(tenant, run, view, g).map(|(view, _)| view)
+    }
+
+    /// Runs one view-addressed query for `tenant`: `query` receives the
+    /// effective view, and its hidden-data errors are laundered.
+    pub fn gate_query<T, G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        run: RunId,
+        view: ViewId,
+        g: &G,
+        query: impl FnOnce(ViewId) -> WhResult<T>,
+    ) -> WhResult<T> {
+        let (view, spec) = self.admit(tenant, run, view, g)?;
+        self.launder(tenant, spec, query(view), g)
+    }
+
+    /// Runs a batch of `(run, view, data)` queries for `tenant`, each
+    /// slot gated on its own: admitted slots go through `run_batch`
+    /// together with their effective views, denied slots answer in place
+    /// with the error an absent run would produce, and results come back
+    /// in input order.
+    pub fn gate_batch<T, G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        queries: &[(RunId, ViewId, DataId)],
+        g: &G,
+        run_batch: impl FnOnce(&[(RunId, ViewId, DataId)]) -> Vec<WhResult<T>>,
+    ) -> Vec<WhResult<T>> {
+        if self.is_empty() {
+            return run_batch(queries);
+        }
+        let mut slots: Vec<Option<WhResult<T>>> = (0..queries.len()).map(|_| None).collect();
+        let mut admitted: Vec<(usize, Option<SpecId>)> = Vec::new();
+        let mut triples = Vec::new();
+        for (i, &(run, view, data)) in queries.iter().enumerate() {
+            match self.admit(tenant, run, view, g) {
+                Ok((view, spec)) => {
+                    admitted.push((i, spec));
+                    triples.push((run, view, data));
+                }
+                Err(e) => slots[i] = Some(Err(e)),
+            }
+        }
+        for ((i, spec), ans) in admitted.into_iter().zip(run_batch(&triples)) {
+            slots[i] = Some(self.launder(tenant, spec, ans, g));
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every batch slot answered"))
+            .collect()
+    }
+
+    /// The run gate, for run-addressed (viewless) requests:
+    /// `Err(RunNotFound)` when `tenant`'s policy hides the run's workflow.
+    pub fn gate_run<G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        run: RunId,
+        g: &G,
+    ) -> WhResult<()> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        match g.spec_of_run(run) {
+            Ok(spec) if !matches!(self.spec_denied(tenant, spec, g, g), Ok(false)) => {
+                Err(WarehouseError::RunNotFound(run))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The spec gate, for spec-addressed requests (ingest, view
+    /// building): `Err(SpecNotFound)` when `tenant`'s policy hides the
+    /// workflow.
+    pub fn gate_spec<G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        spec: SpecId,
+        g: &G,
+    ) -> WhResult<()> {
+        match self.spec_denied(tenant, spec, g, g) {
+            Ok(false) => Ok(()),
+            Ok(true) | Err(_) => Err(WarehouseError::SpecNotFound(spec)),
+        }
+    }
+
+    /// The view id a view-creating request hands back to `tenant`: the
+    /// effective (meet) id for a restricted tenant, so the id it holds is
+    /// already safe to query with and never finer than its policy allows.
+    pub fn effective_view_id<G: ViewRegistry + PolicyMetricsSink>(
+        &self,
+        tenant: &str,
+        spec: SpecId,
+        id: ViewId,
+        g: &G,
+    ) -> ViewId {
+        match self.view_decision(tenant, spec, id, g, g) {
+            Ok(Decision::Substitute(v)) => v,
+            _ => id,
+        }
     }
 }
 
@@ -784,7 +942,7 @@ mod tests {
 
     #[test]
     fn decision_table_fast_path_and_substitution() {
-        let mut wh = Warehouse::new();
+        let mut wh = Backing::default();
         let s = chain(&["A", "H", "B"]);
         let h = s.module("H").expect("module");
         let sid = wh.register_spec(s.clone()).expect("registers");
@@ -796,7 +954,7 @@ mod tests {
         assert!(table.is_empty());
 
         {
-            let reg = MutRegistrar::new(&mut wh);
+            let reg = Registrar::write(&mut wh);
             table
                 .install(
                     "restricted",
@@ -847,12 +1005,12 @@ mod tests {
 
     #[test]
     fn hidden_workflow_denies_and_unsatisfiable_denies_lazily() {
-        let mut wh = Warehouse::new();
+        let mut wh = Backing::default();
         let s = chain(&["A", "B"]);
         let sid = wh.register_spec(s).expect("registers");
         let metrics = MetricsRegistry::new();
         let table = PolicyTable::new();
-        let reg = MutRegistrar::new(&mut wh);
+        let reg = Registrar::write(&mut wh);
         table
             .install(
                 "t",
@@ -874,12 +1032,12 @@ mod tests {
 
     #[test]
     fn install_rejects_unsatisfiable_policy_up_front() {
-        let mut wh = Warehouse::new();
+        let mut wh = Backing::default();
         let s = chain(&["Only"]);
         wh.register_spec(s).expect("registers");
         let metrics = MetricsRegistry::new();
         let table = PolicyTable::new();
-        let reg = MutRegistrar::new(&mut wh);
+        let reg = Registrar::write(&mut wh);
         let err = table
             .install(
                 "t",
@@ -897,7 +1055,7 @@ mod tests {
 
     #[test]
     fn name_squatting_cannot_capture_the_privacy_view() {
-        let mut wh = Warehouse::new();
+        let mut wh = Backing::default();
         let s = chain(&["A", "H", "B"]);
         let sid = wh.register_spec(s.clone()).expect("registers");
         // An attacker pre-registers a fully-revealing view under the
@@ -916,7 +1074,7 @@ mod tests {
             .expect("registers");
         let metrics = MetricsRegistry::new();
         let table = PolicyTable::new();
-        let reg = MutRegistrar::new(&mut wh);
+        let reg = Registrar::write(&mut wh);
         table
             .install(
                 "t",

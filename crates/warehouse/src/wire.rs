@@ -33,15 +33,17 @@
 //! sessions, no in-flight or queued requests) are evicted to make room
 //! before a new tenant is refused.
 
+use crate::backing::{Backing, Rebuild};
 use crate::codec::{self, CodecError};
-use crate::durable::{fsck_with, DurableError, DurableOptions, DurableWarehouse, FsckReport};
+use crate::durable::{DurableError, DurableOptions, DurableWarehouse, FsckReport};
 use crate::io::{RealFs, StorageIo};
 use crate::journal::crc32;
-use crate::metrics::{MetricsSnapshot, SlowQuery};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, SlowQuery};
+use crate::privacy::PolicyMetricsSink;
 use crate::query::ProvenanceResult;
 use crate::resilience::{AdmissionControl, AdmissionPermit, HealthReport, ShardState};
 use crate::schema::{RunId, SpecId, ViewId, WarehouseStats};
-use crate::store::{ImmediateAnswer, Result as WhResult, Warehouse, WarehouseError};
+use crate::store::{ImmediateAnswer, Result as WhResult, WarehouseError};
 use crate::stream::PushOutcome;
 use crate::trace::fnv1a;
 use serde::{Deserialize, Serialize};
@@ -693,90 +695,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One shard's storage: plain in-memory, or crash-safe durable.
-#[derive(Debug)]
-pub enum ShardBacking {
-    /// In-memory warehouse.
-    Memory(Box<Warehouse>),
-    /// Durable warehouse directory.
-    Durable(Box<DurableWarehouse>),
-}
-
-/// Unboxes warehouse-level rejections from the durable wrapper so remote
-/// error renderings match the in-process ones digest-for-digest.
-pub fn durability_err(e: DurableError) -> WarehouseError {
-    match e {
-        DurableError::Warehouse(we) => we,
-        other => WarehouseError::Durability(Box::new(other)),
-    }
-}
-
-impl ShardBacking {
-    /// The underlying query warehouse.
-    pub fn warehouse(&self) -> &Warehouse {
-        match self {
-            ShardBacking::Memory(w) => w,
-            ShardBacking::Durable(dw) => dw.warehouse(),
-        }
-    }
-
-    fn register_spec(&mut self, spec: WorkflowSpec) -> WhResult<SpecId> {
-        match self {
-            ShardBacking::Memory(w) => w.register_spec(spec),
-            ShardBacking::Durable(dw) => dw.register_spec(spec).map_err(durability_err),
-        }
-    }
-
-    fn register_view(&mut self, spec: SpecId, view: UserView) -> WhResult<ViewId> {
-        match self {
-            ShardBacking::Memory(w) => w.register_view(spec, view),
-            ShardBacking::Durable(dw) => dw.register_view(spec, view).map_err(durability_err),
-        }
-    }
-
-    fn load_log(&mut self, spec: SpecId, log: &EventLog) -> WhResult<RunId> {
-        match self {
-            ShardBacking::Memory(w) => w.load_log(spec, log),
-            ShardBacking::Durable(dw) => dw.load_log(spec, log).map_err(durability_err),
-        }
-    }
-
-    fn begin_stream(&mut self, spec: SpecId) -> WhResult<RunId> {
-        match self {
-            ShardBacking::Memory(w) => w.begin_stream(spec),
-            ShardBacking::Durable(dw) => dw.begin_stream(spec).map_err(durability_err),
-        }
-    }
-
-    fn stream_push(&mut self, run: RunId, event: &LogEvent) -> WhResult<PushOutcome> {
-        match self {
-            ShardBacking::Memory(w) => w.stream_push(run, event),
-            ShardBacking::Durable(dw) => dw.stream_push(run, event).map_err(durability_err),
-        }
-    }
-
-    fn stream_seal(&mut self, run: RunId) -> WhResult<()> {
-        match self {
-            ShardBacking::Memory(w) => w.stream_seal(run),
-            ShardBacking::Durable(dw) => dw.stream_seal(run).map_err(durability_err),
-        }
-    }
-
-    fn stats(&self) -> WarehouseStats {
-        match self {
-            ShardBacking::Memory(w) => w.stats(),
-            ShardBacking::Durable(dw) => dw.stats(),
-        }
-    }
-
-    fn health(&self) -> HealthReport {
-        match self {
-            ShardBacking::Memory(_) => HealthReport::in_memory(),
-            ShardBacking::Durable(dw) => dw.health(),
-        }
-    }
-}
-
 /// Supervisor bookkeeping for one shard (DESIGN.md §17). Guarded by its
 /// own mutex so state checks never contend with the (long-held) backing
 /// lock; the supervision lock is a leaf — it is only ever taken last and
@@ -819,7 +737,7 @@ pub struct RepairOutcome {
 /// spec/view/run id sequences identical to a single warehouse's.
 #[derive(Debug)]
 pub struct ShardRouter {
-    shards: Vec<Mutex<ShardBacking>>,
+    shards: Vec<Mutex<Backing>>,
     /// Per-shard supervisor state, same order as `shards` (DESIGN.md §17).
     supervision: Vec<Mutex<Supervision>>,
     /// Serializes spec/view broadcasts across shards. Registration locks
@@ -852,7 +770,7 @@ impl ShardRouter {
         let shards = shards.max(1);
         ShardRouter {
             shards: (0..shards)
-                .map(|_| Mutex::new(ShardBacking::Memory(Box::new(Warehouse::new()))))
+                .map(|_| Mutex::new(Backing::default()))
                 .collect(),
             supervision: (0..shards)
                 .map(|_| Mutex::new(Supervision::new()))
@@ -935,7 +853,7 @@ impl ShardRouter {
                 Some(io) => Arc::clone(io),
                 None => Arc::new(RealFs),
             };
-            backings.push(Mutex::new(ShardBacking::Durable(Box::new(
+            backings.push(Mutex::new(Backing::Durable(Box::new(
                 DurableWarehouse::open_with(io, &sub, options)?,
             ))));
         }
@@ -1010,7 +928,7 @@ impl ShardRouter {
     fn with_run<R>(
         &self,
         run: RunId,
-        f: impl FnOnce(&ShardBacking, RunId) -> WhResult<R>,
+        f: impl FnOnce(&Backing, RunId) -> WhResult<R>,
     ) -> WhResult<R> {
         let (sh, local) = self.resolve(run)?;
         let guard = lock(&self.shards[sh]);
@@ -1024,7 +942,7 @@ impl ShardRouter {
     /// lock as a barrier after changing the state and before reading the
     /// disk. `Degraded` still passes — the breaker stays the authority
     /// for fail-fast rejections so error renderings match PR 5's.
-    fn write_allowed(&self, sh: usize, backing: &ShardBacking) -> WhResult<()> {
+    fn write_allowed(&self, sh: usize, backing: &Backing) -> WhResult<()> {
         let state = lock(&self.supervision[sh]).state;
         if state.accepts_writes() {
             Ok(())
@@ -1044,11 +962,8 @@ impl ShardRouter {
     /// shard whose breaker is open is marked `Degraded`, and one whose
     /// breaker closed again (checkpoint probe) returns to `Healthy`.
     /// Quarantined/rebuilding shards are left to the repair path.
-    fn note_write_outcome(&self, sh: usize, backing: &ShardBacking) {
-        let degraded = match backing {
-            ShardBacking::Memory(_) => false,
-            ShardBacking::Durable(dw) => dw.degraded(),
-        };
+    fn note_write_outcome(&self, sh: usize, backing: &Backing) {
+        let degraded = backing.degraded();
         let mut sup = lock(&self.supervision[sh]);
         match (sup.state, degraded) {
             (ShardState::Healthy, true) => sup.state = ShardState::Degraded,
@@ -1060,7 +975,7 @@ impl ShardRouter {
     fn with_run_mut<R>(
         &self,
         run: RunId,
-        f: impl FnOnce(&mut ShardBacking, RunId) -> WhResult<R>,
+        f: impl FnOnce(&mut Backing, RunId) -> WhResult<R>,
     ) -> WhResult<R> {
         let (sh, local) = self.resolve(run)?;
         let mut guard = lock(&self.shards[sh]);
@@ -1072,7 +987,7 @@ impl ShardRouter {
 
     fn load_into_shard(
         &self,
-        load: impl FnOnce(&mut ShardBacking) -> WhResult<RunId>,
+        load: impl FnOnce(&mut Backing) -> WhResult<RunId>,
     ) -> WhResult<RunId> {
         let mut next = lock(&self.alloc);
         let global = RunId(*next);
@@ -1247,7 +1162,7 @@ impl ShardRouter {
     pub fn abort_stream(&self, run: RunId) {
         if let Ok((sh, local)) = self.resolve(run) {
             let mut guard = lock(&self.shards[sh]);
-            if let ShardBacking::Memory(w) = &mut *guard {
+            if let Some(w) = guard.warehouse_mut() {
                 if w.is_streaming(local) {
                     w.rollback_stream(local);
                 }
@@ -1445,14 +1360,10 @@ impl ShardRouter {
     ///    passed its state check before step 1 has finished and the disk
     ///    image is stable — no later writer can start against the old
     ///    backing;
-    /// 3. fsck the shard's directory and re-open a fresh
-    ///    [`DurableWarehouse`] from it on the *same* storage backend,
-    ///    both without holding the backing lock (reads keep answering
-    ///    from the old in-memory image throughout);
-    /// 4. checkpoint the fresh store as a write probe — a repair must
-    ///    not declare a still-broken disk healthy just because replaying
-    ///    the journal needed no writes;
-    /// 5. swap the fresh store in under the backing lock (atomic from
+    /// 3. run the backing's [`Rebuild`] (fsck, reopen a fresh
+    ///    [`DurableWarehouse`] on the *same* storage backend, checkpoint
+    ///    write probe) without holding the backing lock;
+    /// 4. swap the fresh store in under the backing lock (atomic from
     ///    every other thread's point of view) and mark the shard
     ///    `Healthy`.
     ///
@@ -1482,63 +1393,41 @@ impl ShardRouter {
         }
         // Barrier: wait out any mutation that passed its state check
         // before we flipped it, and capture what we need for the rebuild.
-        let source = {
-            let guard = lock(&self.shards[sh]);
-            match &*guard {
-                ShardBacking::Memory(_) => None,
-                ShardBacking::Durable(dw) => Some((dw.io(), dw.dir().to_path_buf(), dw.options())),
-            }
-        };
-        let Some((io, dir, options)) = source else {
-            // In-memory shard: nothing on disk to verify or replay.
-            let nanos = started.elapsed().as_nanos() as u64;
-            let mut sup = lock(&self.supervision[sh]);
-            sup.state = ShardState::Healthy;
-            sup.repairs += 1;
-            sup.last_repair_nanos = nanos;
-            return Ok(RepairOutcome {
-                shard: sh,
-                fsck: None,
-                nanos,
-            });
-        };
-        let rebuilt = fsck_with(&*io, &dir).and_then(|report| {
-            let mut fresh = DurableWarehouse::open_with(Arc::clone(&io), &dir, options)?;
-            // Write probe: recovery alone may need no writes at all, and
-            // a repair must not declare a dead disk healthy.
-            fresh.checkpoint()?;
-            Ok((report, fresh))
-        });
-        match rebuilt {
-            Ok((report, fresh)) => {
-                {
-                    let mut guard = lock(&self.shards[sh]);
-                    *guard = ShardBacking::Durable(Box::new(fresh));
-                }
-                let nanos = started.elapsed().as_nanos() as u64;
-                {
-                    let mut sup = lock(&self.supervision[sh]);
-                    sup.state = ShardState::Healthy;
-                    sup.repairs += 1;
-                    sup.last_repair_nanos = nanos;
-                }
-                lock(&self.shards[sh])
-                    .warehouse()
-                    .metrics_registry()
-                    .record_repair(nanos);
-                Ok(RepairOutcome {
-                    shard: sh,
-                    fsck: Some(report),
-                    nanos,
-                })
-            }
+        // The rebuild itself runs without the backing lock, so reads keep
+        // answering from the old in-memory image throughout. In-memory
+        // shards have nothing on disk to verify or replay: their repair
+        // only re-admits them.
+        let source = lock(&self.shards[sh]).rebuild_source();
+        let fsck = match source.map(Rebuild::run).transpose() {
+            Ok(rebuilt) => rebuilt.map(|(report, fresh)| {
+                *lock(&self.shards[sh]) = fresh;
+                report
+            }),
             Err(e) => {
                 let mut sup = lock(&self.supervision[sh]);
                 sup.state = ShardState::Quarantined;
                 sup.failed_repairs += 1;
-                Err(e)
+                return Err(e);
             }
+        };
+        let nanos = started.elapsed().as_nanos() as u64;
+        {
+            let mut sup = lock(&self.supervision[sh]);
+            sup.state = ShardState::Healthy;
+            sup.repairs += 1;
+            sup.last_repair_nanos = nanos;
         }
+        if fsck.is_some() {
+            lock(&self.shards[sh])
+                .warehouse()
+                .metrics_registry()
+                .record_repair(nanos);
+        }
+        Ok(RepairOutcome {
+            shard: sh,
+            fsck,
+            nanos,
+        })
     }
 
     /// Slow queries across every shard (shard order, capture order within
@@ -1571,7 +1460,7 @@ impl ShardRouter {
         self.with_run(run, |b, local| b.warehouse().run_spec(local))
     }
 
-    /// A [`PolicyMetricsSink`](crate::privacy::PolicyMetricsSink) that
+    /// A [`PolicyMetricsSink`] that
     /// records enforcement counters into shard 0's registry (policies are
     /// daemon-global, so one shard's registry is the canonical home; the
     /// aggregated metrics view sums across shards anyway). Each record
@@ -1601,9 +1490,7 @@ impl ShardRouter {
             if !lock(&self.supervision[i]).state.accepts_writes() {
                 continue;
             }
-            if let ShardBacking::Durable(dw) = &mut *guard {
-                dw.checkpoint().map_err(durability_err)?;
-            }
+            guard.checkpoint()?;
         }
         Ok(())
     }
@@ -1664,6 +1551,19 @@ impl crate::privacy::ViewRegistry for ShardRouter {
             .views_of_spec(spec)
             .to_vec()
     }
+
+    fn spec_of_run(&self, run: RunId) -> WhResult<SpecId> {
+        ShardRouter::spec_of_run(self, run)
+    }
+}
+
+/// Policy-enforcement counters land in shard 0's registry: policies are
+/// daemon-global, so one shard's registry is the canonical home (the
+/// aggregated metrics view sums across shards anyway).
+impl PolicyMetricsSink for ShardRouter {
+    fn record_policy(&self, record: fn(&MetricsRegistry)) {
+        record(lock(&self.shards[0]).warehouse().metrics_registry());
+    }
 }
 
 /// Routes policy-enforcement counters into shard 0's metrics registry;
@@ -1672,34 +1572,16 @@ pub struct ShardPolicySink<'a> {
     router: &'a ShardRouter,
 }
 
-impl ShardPolicySink<'_> {
-    fn with_registry(&self, f: impl FnOnce(&crate::metrics::MetricsRegistry)) {
-        let guard = lock(&self.router.shards[0]);
-        f(guard.warehouse().metrics_registry());
-    }
-}
-
-impl crate::privacy::PolicyMetricsSink for ShardPolicySink<'_> {
-    fn policy_substitution(&self) {
-        self.with_registry(|r| r.record_policy_substitution());
-    }
-
-    fn policy_denial(&self) {
-        self.with_registry(|r| r.record_policy_denial());
-    }
-
-    fn policy_cache_hit(&self) {
-        self.with_registry(|r| r.record_policy_cache_hit());
-    }
-
-    fn policy_compilation(&self) {
-        self.with_registry(|r| r.record_policy_compilation());
+impl PolicyMetricsSink for ShardPolicySink<'_> {
+    fn record_policy(&self, record: fn(&MetricsRegistry)) {
+        self.router.record_policy(record);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Warehouse;
     use zoom_model::{RunBuilder, SpecBuilder};
 
     fn spec(name: &str) -> WorkflowSpec {

@@ -4,10 +4,12 @@
 //! leak cross-tenant query context, and policy administration itself is
 //! admin-gated.
 
-use zoom::core::{Daemon, DaemonConfig, RemoteZoom, Zoom};
-use zoom::model::{DataId, EventLog};
-use zoom::warehouse::VisibilityPolicy;
-use zoom_gen::library::{figure2_run, phylogenomic};
+use zoom::core::{Daemon, DaemonConfig, RemoteZoom, RunId, ViewId, Zoom};
+use zoom::model::{DataId, EventLog, StepId};
+use zoom::warehouse::{ImmediateAnswer, ProvenanceResult, VisibilityPolicy};
+use zoom_gen::library::{
+    figure2_run, phylogenomic, provenance_challenge, provenance_challenge_run,
+};
 
 fn spawn(shards: usize, admin_token: Option<&str>) -> Daemon {
     Daemon::spawn(
@@ -294,4 +296,214 @@ fn view_registration_returns_the_effective_view() {
         .deep_provenance_as("alice", lrid, lvid, finals[0])
         .unwrap();
     assert_eq!(lres.rows, res.rows);
+}
+
+/// Every query kind, as one tenant, through either facade; errors as
+/// their rendered strings so both facades compare byte-for-byte.
+trait TenantFacade {
+    fn visible(&mut self, run: RunId, view: ViewId) -> Answer<Vec<DataId>>;
+    fn finals(&mut self, run: RunId) -> Answer<Vec<DataId>>;
+    fn deep(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<ProvenanceResult>;
+    fn immediate(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<ImmediateAnswer>;
+    fn dependents(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<Vec<DataId>>;
+    fn between(&mut self, run: RunId, view: ViewId, ends: Ends) -> Answer<Vec<DataId>>;
+    fn batch(&mut self, queries: &[(RunId, ViewId, DataId)]) -> Vec<Answer<ProvenanceResult>>;
+}
+
+type Answer<T> = Result<T, String>;
+type Ends = (Option<StepId>, Option<StepId>);
+
+/// The in-process facade's `*_as` surface for one tenant.
+struct AsTenant<'a>(&'a Zoom, &'a str);
+
+impl TenantFacade for AsTenant<'_> {
+    fn visible(&mut self, run: RunId, view: ViewId) -> Answer<Vec<DataId>> {
+        self.0
+            .visible_data_as(self.1, run, view)
+            .map_err(|e| e.to_string())
+    }
+    fn finals(&mut self, run: RunId) -> Answer<Vec<DataId>> {
+        self.0
+            .final_outputs_as(self.1, run)
+            .map_err(|e| e.to_string())
+    }
+    fn deep(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<ProvenanceResult> {
+        let res = self.0.deep_provenance_as(self.1, run, view, d);
+        res.map_err(|e| e.to_string())
+    }
+    fn immediate(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<ImmediateAnswer> {
+        let res = self.0.immediate_provenance_as(self.1, run, view, d);
+        res.map_err(|e| e.to_string())
+    }
+    fn dependents(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<Vec<DataId>> {
+        let res = self.0.dependents_of_as(self.1, run, view, d);
+        res.map_err(|e| e.to_string())
+    }
+    fn between(&mut self, run: RunId, view: ViewId, (from, to): Ends) -> Answer<Vec<DataId>> {
+        let res = self.0.data_between_as(self.1, run, view, from, to);
+        res.map_err(|e| e.to_string())
+    }
+    fn batch(&mut self, queries: &[(RunId, ViewId, DataId)]) -> Vec<Answer<ProvenanceResult>> {
+        let answers = self.0.query_batch_as(self.1, queries).into_iter();
+        answers.map(|a| a.map_err(|e| e.to_string())).collect()
+    }
+}
+
+impl TenantFacade for RemoteZoom {
+    fn visible(&mut self, run: RunId, view: ViewId) -> Answer<Vec<DataId>> {
+        self.visible_data(run, view).map_err(|e| e.to_string())
+    }
+    fn finals(&mut self, run: RunId) -> Answer<Vec<DataId>> {
+        self.final_outputs(run).map_err(|e| e.to_string())
+    }
+    fn deep(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<ProvenanceResult> {
+        self.deep_provenance(run, view, d)
+            .map_err(|e| e.to_string())
+    }
+    fn immediate(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<ImmediateAnswer> {
+        self.immediate_provenance(run, view, d)
+            .map_err(|e| e.to_string())
+    }
+    fn dependents(&mut self, run: RunId, view: ViewId, d: DataId) -> Answer<Vec<DataId>> {
+        self.dependents_of(run, view, d).map_err(|e| e.to_string())
+    }
+    fn between(&mut self, run: RunId, view: ViewId, (from, to): Ends) -> Answer<Vec<DataId>> {
+        self.data_between(run, view, from, to)
+            .map_err(|e| e.to_string())
+    }
+    fn batch(&mut self, queries: &[(RunId, ViewId, DataId)]) -> Vec<Answer<ProvenanceResult>> {
+        let answers = self
+            .query_batch(queries)
+            .expect("the batch itself is answered");
+        answers
+            .into_iter()
+            .map(|a| a.map_err(|e| e.to_string()))
+            .collect()
+    }
+}
+
+/// One transcript line per query: every kind over every `(run, view)`
+/// target and probe, then one mixed batch.
+fn gate_transcript(
+    f: &mut impl TenantFacade,
+    targets: &[(RunId, ViewId)],
+    probes: &[DataId],
+    ends: &[Ends],
+    batch: &[(RunId, ViewId, DataId)],
+) -> Vec<String> {
+    let mut t = Vec::new();
+    for &(run, view) in targets {
+        t.push(format!("{run} visible: {:?}", f.visible(run, view)));
+        t.push(format!("{run} finals: {:?}", f.finals(run)));
+        for &d in probes {
+            t.push(format!("{run} deep {d}: {:?}", f.deep(run, view, d)));
+            t.push(format!("{run} imm {d}: {:?}", f.immediate(run, view, d)));
+            t.push(format!("{run} deps {d}: {:?}", f.dependents(run, view, d)));
+        }
+        for &e in ends {
+            t.push(format!(
+                "{run} between {e:?}: {:?}",
+                f.between(run, view, e)
+            ));
+        }
+    }
+    for (q, a) in batch.iter().zip(f.batch(batch)) {
+        t.push(format!("batch {q:?}: {a:?}"));
+    }
+    t
+}
+
+/// Cross-facade gate parity: the same specs, runs and policy (one
+/// concealed module, one hidden workflow) loaded into a `Zoom` and a
+/// 2-shard daemon answer the restricted tenant byte-identically for every
+/// query kind — allowed, denied, absent and hidden targets alike.
+#[test]
+fn tenant_gate_answers_alike_in_process_and_over_the_wire() {
+    let (phylo, hidden_wf) = (phylogenomic(), provenance_challenge());
+    let logs = [
+        (0, EventLog::from_run(&figure2_run(&phylo), &phylo)),
+        (
+            1,
+            EventLog::from_run(&provenance_challenge_run(&hidden_wf), &hidden_wf),
+        ),
+        (0, EventLog::from_run(&figure2_run(&phylo), &phylo)),
+    ];
+    let policy = VisibilityPolicy {
+        hidden_modules: vec!["M5".to_string()],
+        hidden_workflows: vec![hidden_wf.name().to_string()],
+    };
+
+    let mut local = Zoom::new();
+    let daemon = spawn(2, None);
+    let mut ctl = RemoteZoom::connect(daemon.addr(), "ctl").unwrap();
+    let mut views = Vec::new();
+    for spec in [&phylo, &hidden_wf] {
+        let sid = local.register_workflow(spec.clone()).unwrap();
+        assert_eq!(ctl.register_workflow(spec.clone()).unwrap(), sid);
+        let vid = local.admin_view(sid).unwrap();
+        assert_eq!(ctl.admin_view(sid).unwrap(), vid);
+        views.push((sid, vid));
+    }
+    let mut targets = Vec::new();
+    for (which, log) in &logs {
+        let (sid, vid) = views[*which];
+        let rid = local.load_log(sid, log).unwrap();
+        assert_eq!(ctl.load_log(sid, log).unwrap(), rid);
+        targets.push((rid, vid));
+    }
+    local.set_policy("alice", Some(policy.clone())).unwrap();
+    ctl.set_policy("alice", Some(policy), None).unwrap();
+
+    let (visible_run, admin) = targets[0];
+    let hidden_run = targets[1].0;
+    let absent_run = RunId(99);
+    targets.push((absent_run, admin));
+    // A datum present in the run but concealed from alice, and one that
+    // never existed.
+    let concealed = local.visible_data_as("alice", visible_run, admin).unwrap();
+    let hidden_datum = local
+        .visible_data(visible_run, admin)
+        .unwrap()
+        .into_iter()
+        .find(|d| !concealed.contains(d))
+        .expect("hiding M5 conceals at least one datum");
+    let final_out = local.final_outputs(visible_run).unwrap()[0];
+    let probes = [DataId(1), final_out, hidden_datum, DataId(99_999)];
+    let ends: Vec<Ends> = vec![
+        (None, Some(StepId(1))),
+        (Some(StepId(1)), Some(StepId(2))),
+        (Some(StepId(2)), None),
+        (None, None),
+    ];
+    let batch = [
+        (visible_run, admin, final_out),
+        (hidden_run, targets[1].1, DataId(1)),
+        (targets[2].0, admin, hidden_datum),
+        (absent_run, admin, DataId(1)),
+    ];
+
+    let mut alice = RemoteZoom::connect(daemon.addr(), "alice").unwrap();
+    let in_process = gate_transcript(
+        &mut AsTenant(&local, "alice"),
+        &targets,
+        &probes,
+        &ends,
+        &batch,
+    );
+    let over_wire = gate_transcript(&mut alice, &targets, &probes, &ends, &batch);
+    assert_eq!(in_process.len(), over_wire.len());
+    for (a, b) in in_process.iter().zip(&over_wire) {
+        assert_eq!(a, b, "the facades' tenant gates disagree");
+    }
+
+    // The denied and concealed forms render as absence, and the batch
+    // mixes answered slots with the denied one.
+    let answers = AsTenant(&local, "alice").batch(&batch);
+    assert!(answers[0].is_ok());
+    assert_eq!(answers[1], Err(format!("{hidden_run} not found")));
+    assert_eq!(
+        answers[2],
+        Err(format!("data object {hidden_datum} not found in run"))
+    );
+    assert_eq!(answers[3], Err(format!("{absent_run} not found")));
 }

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use zoom::core::{Daemon, DaemonConfig, QuerySession, RemoteZoom, Zoom};
-use zoom::model::{DataId, SpecBuilder, UserView, WorkflowRun, WorkflowSpec};
+use zoom::model::{DataId, SpecBuilder, StepId, UserView, WorkflowRun, WorkflowSpec};
 use zoom::warehouse::{RunId, ViewId, VisibilityPolicy, WarehouseError};
 use zoom_graph::NodeId;
 
@@ -89,9 +89,28 @@ fn chain_run(
     rb.build().expect("chain runs are valid")
 }
 
+/// `data_between` endpoints along an `n`-step chain: input → step 1,
+/// each step → the next, step n → output, and input → output.
+fn between_probes(n: usize) -> Vec<(Option<StepId>, Option<StepId>)> {
+    let ends: Vec<Option<StepId>> = std::iter::once(None)
+        .chain((1..=n as u32).map(|i| Some(StepId(i))))
+        .chain(std::iter::once(None))
+        .collect();
+    let mut pairs: Vec<_> = ends.windows(2).map(|w| (w[0], w[1])).collect();
+    pairs.push((None, None));
+    pairs
+}
+
 /// Every answer the restricted tenant can extract locally for one run:
 /// rendered to strings so byte-level differences count.
-fn local_transcript(zoom: &Zoom, tenant: &str, run: RunId, view: ViewId, probes: &[u64]) -> String {
+fn local_transcript(
+    zoom: &Zoom,
+    tenant: &str,
+    run: RunId,
+    view: ViewId,
+    probes: &[u64],
+    steps: usize,
+) -> String {
     let mut t = String::new();
     let vis = zoom.visible_data_as(tenant, run, view);
     t.push_str(&format!("visible: {vis:?}\n"));
@@ -117,6 +136,13 @@ fn local_transcript(zoom: &Zoom, tenant: &str, run: RunId, view: ViewId, probes:
                 .map_err(|e| e.to_string())
         ));
     }
+    for (from, to) in between_probes(steps) {
+        t.push_str(&format!(
+            "between {from:?} {to:?}: {:?}\n",
+            zoom.data_between_as(tenant, run, view, from, to)
+                .map_err(|e| e.to_string())
+        ));
+    }
     let batch: Vec<u64> = probes.to_vec();
     let answers = zoom.query_batch_as(
         tenant,
@@ -133,7 +159,13 @@ fn local_transcript(zoom: &Zoom, tenant: &str, run: RunId, view: ViewId, probes:
 
 /// The same matrix over the wire, as the restricted tenant's own
 /// connection — wire rendering included.
-fn remote_transcript(rz: &mut RemoteZoom, run: RunId, view: ViewId, probes: &[u64]) -> String {
+fn remote_transcript(
+    rz: &mut RemoteZoom,
+    run: RunId,
+    view: ViewId,
+    probes: &[u64],
+    steps: usize,
+) -> String {
     let mut t = String::new();
     t.push_str(&format!(
         "visible: {:?}\n",
@@ -159,6 +191,22 @@ fn remote_transcript(rz: &mut RemoteZoom, run: RunId, view: ViewId, probes: &[u6
             "deps {d}: {:?}\n",
             rz.dependents_of(run, view, d).map_err(|e| e.to_string())
         ));
+    }
+    for (from, to) in between_probes(steps) {
+        t.push_str(&format!(
+            "between {from:?} {to:?}: {:?}\n",
+            rz.data_between(run, view, from, to)
+                .map_err(|e| e.to_string())
+        ));
+    }
+    let batch: Vec<_> = probes.iter().map(|&d| (run, view, DataId(d))).collect();
+    match rz.query_batch(&batch) {
+        Ok(answers) => {
+            for a in answers {
+                t.push_str(&format!("batch: {:?}\n", a.map_err(|e| e.to_string())));
+            }
+        }
+        Err(e) => t.push_str(&format!("batch: {e}\n")),
     }
     t
 }
@@ -204,14 +252,14 @@ proptest! {
         let mut probes: Vec<u64> = (1..=n as u64 + 1).collect();
         probes.extend([1000, 1001, 4242]);
 
-        let ta = normalized(&local_transcript(&zoom, "alice", rid_a, admin, &probes), rid_a);
-        let tb = normalized(&local_transcript(&zoom, "alice", rid_b, admin, &probes), rid_b);
+        let ta = normalized(&local_transcript(&zoom, "alice", rid_a, admin, &probes, n), rid_a);
+        let tb = normalized(&local_transcript(&zoom, "alice", rid_b, admin, &probes, n), rid_b);
         prop_assert_eq!(&ta, &tb, "restricted transcripts diverged");
 
         // Control: without a policy the same matrix distinguishes the
         // runs (otherwise this test proves nothing).
-        let ca = normalized(&local_transcript(&zoom, "bob", rid_a, admin, &probes), rid_a);
-        let cb = normalized(&local_transcript(&zoom, "bob", rid_b, admin, &probes), rid_b);
+        let ca = normalized(&local_transcript(&zoom, "bob", rid_a, admin, &probes, n), rid_a);
+        let cb = normalized(&local_transcript(&zoom, "bob", rid_b, admin, &probes, n), rid_b);
         prop_assert_ne!(&ca, &cb, "unrestricted control could not distinguish the runs");
 
         // Hidden-and-present renders exactly like absent: the concealed
@@ -268,13 +316,13 @@ proptest! {
         let mut alice = RemoteZoom::connect(daemon.addr(), "alice").unwrap();
         let mut probes: Vec<u64> = (1..=n as u64 + 1).collect();
         probes.extend([1000, 1001, 4242]);
-        let ta = normalized(&remote_transcript(&mut alice, rid_a, admin, &probes), rid_a);
-        let tb = normalized(&remote_transcript(&mut alice, rid_b, admin, &probes), rid_b);
+        let ta = normalized(&remote_transcript(&mut alice, rid_a, admin, &probes, n), rid_a);
+        let tb = normalized(&remote_transcript(&mut alice, rid_b, admin, &probes, n), rid_b);
         prop_assert_eq!(&ta, &tb, "restricted wire transcripts diverged");
 
         let mut bob = RemoteZoom::connect(daemon.addr(), "bob").unwrap();
-        let ca = normalized(&remote_transcript(&mut bob, rid_a, admin, &probes), rid_a);
-        let cb = normalized(&remote_transcript(&mut bob, rid_b, admin, &probes), rid_b);
+        let ca = normalized(&remote_transcript(&mut bob, rid_a, admin, &probes, n), rid_a);
+        let cb = normalized(&remote_transcript(&mut bob, rid_b, admin, &probes, n), rid_b);
         prop_assert_ne!(&ca, &cb, "unrestricted wire control could not distinguish the runs");
 
         // Hidden-and-present vs. never-existed over the wire: identical

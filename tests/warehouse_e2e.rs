@@ -146,7 +146,6 @@ fn view_family_ordering_holds_corpus_wide() {
 /// a snapshot: same stats, same provenance answers.
 #[test]
 fn journal_and_snapshot_agree() {
-    use zoom::warehouse::JournaledWarehouse;
     let mut rng = StdRng::seed_from_u64(888);
     let specs: Vec<_> = (0..3)
         .map(|i| {
@@ -169,13 +168,14 @@ fn journal_and_snapshot_agree() {
         })
         .collect();
 
-    // Path A: journal every mutation, then reopen.
+    // Path A: journal every mutation in a durable store, then reopen.
     let mut jpath = std::env::temp_dir();
     jpath.push(format!("zoom-e2e-journal-{}", std::process::id()));
+    std::fs::remove_dir_all(&jpath).ok();
     {
-        let mut jw = JournaledWarehouse::create(&jpath).expect("creates");
+        let mut jw = Zoom::open_durable(&jpath).expect("creates");
         for (s, rs) in specs.iter().zip(&runs) {
-            let sid = jw.register_spec(s.clone()).expect("registers");
+            let sid = jw.register_workflow(s.clone()).expect("registers");
             jw.register_view(sid, zoom::model::UserView::admin(s))
                 .expect("registers");
             for r in rs {
@@ -183,7 +183,7 @@ fn journal_and_snapshot_agree() {
             }
         }
     }
-    let replayed = JournaledWarehouse::open(&jpath).expect("replays");
+    let replayed = Zoom::open_durable(&jpath).expect("replays");
 
     // Path B: bulk-load the same content into a plain warehouse.
     let mut z = Zoom::new();
@@ -237,7 +237,7 @@ fn journal_and_snapshot_agree() {
             assert_eq!(x.rows, y.rows);
         }
     }
-    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_dir_all(&jpath).ok();
 }
 
 /// Edge inspection (Section IV): for every view edge of a materialized
